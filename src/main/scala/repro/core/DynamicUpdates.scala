@@ -23,15 +23,12 @@ object R2D2State {
   */
 object DynamicUpdates {
 
-  /** Check one candidate directed edge parent → child with MMP then CLP. */
-  private def candidateSurvives(st: R2D2State, parent: String, child: String, cfg: CLPConfig): Boolean = {
-    if (MMP.violates(st.catalog(parent), st.catalog(child))) false
-    else {
-      val e = Edge(parent, child)
-      val (doPrune, _, _) =
-        CLP.checkEdge(e, st.dfs(parent), st.dfs(child), st.schemas(parent), st.schemas(child), cfg)
-      !doPrune
-    }
+  /** The candidate edges of one update that survive MMP and then CLP; CLP
+    * probes all of MMP's survivors in one batched call.
+    */
+  private def survivors(st: R2D2State, candidates: Seq[Edge], cfg: CLPConfig): Set[Edge] = {
+    val mmp = MMP.prune(ContainmentGraph(st.graph.nodes, candidates), st.catalog(_))
+    CLP.prune(mmp.graph, st.dfs, st.schemas, cfg).graph.edges
   }
 
   /** Add a new dataset: place it in the SGB clustering (new member of every
@@ -68,14 +65,12 @@ object DynamicUpdates {
         (st.clusters :+ SGBResult.Cluster(name, name +: members), members)
       }
 
-    var g = st.graph
-    for (other <- candidates if other != name) {
+    val edges = candidates.filter(_ != name).flatMap { other =>
       val so = st.schemas(other)
-      if (schema.subsetOf(so) && candidateSurvives(st.copy(clusters = clusters), other, name, cfg))
-        g = g.addEdge(Edge(other, name))
-      if (so.subsetOf(schema) && candidateSurvives(st.copy(clusters = clusters), name, other, cfg))
-        g = g.addEdge(Edge(name, other))
+      (if (schema.subsetOf(so)) Seq(Edge(other, name)) else Nil) ++
+        (if (so.subsetOf(schema)) Seq(Edge(name, other)) else Nil)
     }
+    val g = st.graph.copy(edges = st.graph.edges ++ survivors(st, edges, cfg))
     (st.copy(clusters = clusters, graph = g), examined)
   }
 
@@ -117,17 +112,14 @@ object DynamicUpdates {
     st0.catalog.ingest(name, flat)
     val st = st0.copy(dfs = st0.dfs + (name -> flat))
     val schema = st.schemas(name)
-    var examined = 0L
-    var edges = st.graph.edges.filterNot(e => if (incomingSide) e.child == name else e.parent == name)
-    for (other <- st.schemas.keys.toSeq.sorted if other != name) {
-      examined += 1
-      val so = st.schemas(other)
-      if (incomingSide) {
-        if (schema.subsetOf(so) && candidateSurvives(st, other, name, cfg)) edges += Edge(other, name)
-      } else {
-        if (so.subsetOf(schema) && candidateSurvives(st, name, other, cfg)) edges += Edge(name, other)
-      }
+    val others = st.schemas.keys.toSeq.sorted.filter(_ != name)
+    val candidates = others.collect {
+      case o if incomingSide && schema.subsetOf(st.schemas(o))   => Edge(o, name)
+      case o if !incomingSide && st.schemas(o).subsetOf(schema) => Edge(name, o)
     }
+    val kept = st.graph.edges.filterNot(e => if (incomingSide) e.child == name else e.parent == name)
+    val edges = kept ++ survivors(st, candidates, cfg)
+    val examined = others.size.toLong
     (st.copy(graph = ContainmentGraph(st.graph.nodes, edges)), examined)
   }
 }

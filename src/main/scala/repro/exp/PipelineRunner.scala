@@ -65,9 +65,10 @@ object PipelineRunner {
 
   def runOnLake(spark: SparkSession, lake: Lake, clpCfg: CLPConfig = CLPConfig()): PipelineOutput = {
     val catalog = new StatsCatalog
+    val parallelism = spark.sparkContext.defaultParallelism
     val (_, ingestMs) = timed {
       // One independent aggregation job per dataset — submit concurrently.
-      val stats = repro.util.Par.map(lake.datasets, clpCfg.parallelism)(d => d.name -> StatsCatalog.compute(d.df))
+      val stats = repro.util.Par.map(lake.datasets, parallelism)(d => d.name -> StatsCatalog.compute(d.df))
       stats.foreach { case (n, s) => catalog.put(n, s) }
     }
 
@@ -80,7 +81,7 @@ object PipelineRunner {
     // per schema edge. Timed as one unit — this is the baseline R2D2 beats.
     val ((gtSchemaGraph, gtSchemaOps, gtContent, data), gtMs) = timed {
       val (g, ops) = GroundTruth.schemaGraph(lake.schemas)
-      val data = repro.util.Par.map(lake.datasets, clpCfg.parallelism)(d =>
+      val data = repro.util.Par.map(lake.datasets, parallelism)(d =>
         d.name -> TableData.fromDf(d.name, d.df)).toMap
       val content = GroundTruth.contentGraph(g, data(_))
       (g, ops, content, data)

@@ -1,7 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, IntegerType, StructField, StructType}
 
 import repro.{SparkSpec, SynthData}
 import repro.lake.Transformations
@@ -14,10 +17,13 @@ class CLPSpec extends SparkSpec {
   lazy val li = SynthData.lineitem(spark, sf = 0.0002, seed = 23).cache()
   private def sch(df: DataFrame): SchemaSet = SchemaSet.fromStruct(df.schema)
 
-  private def check(parent: DataFrame, child: DataFrame, cfg: CLPConfig = CLPConfig()): Boolean = {
-    val (prune, _, _) = CLP.checkEdge(Edge("p", "c"), parent, child, sch(parent), sch(child), cfg)
-    prune
+  private def pruneOne(parent: DataFrame, child: DataFrame, cfg: CLPConfig): CLPResult = {
+    val dfs = Map("p" -> parent, "c" -> child)
+    CLP.prune(ContainmentGraph(dfs.keys, Seq(Edge("p", "c"))), dfs, dfs.view.mapValues(sch).toMap, cfg)
   }
+
+  private def check(parent: DataFrame, child: DataFrame, cfg: CLPConfig = CLPConfig()): Boolean =
+    pruneOne(parent, child, cfg).pruned.nonEmpty
 
   test("never prunes a WHERE-filter child (true containment)") {
     val child = li.where(col("l_returnflag") === "N").cache()
@@ -76,9 +82,8 @@ class CLPSpec extends SparkSpec {
 
   test("no common columns means no probes and no pruning") {
     val other = spark.range(5).select(col("id").as("zzz"))
-    val (prune, probes, rows) =
-      CLP.checkEdge(Edge("p", "c"), li, other, sch(li), sch(other), CLPConfig())
-    assert(!prune && probes == 0 && rows == 0)
+    val res = pruneOne(li, other, CLPConfig())
+    assert(res.pruned.isEmpty && res.probeCount == 0 && res.sampledRows == 0)
   }
 
   test("null values are handled null-safely (a contained child with nulls is kept)") {
@@ -96,21 +101,9 @@ class CLPSpec extends SparkSpec {
     assert(check(parent, child, CLPConfig(s = 2, t = 10)))
   }
 
-  test("parent-filtered (two-sided) variant preserves recall on true containment") {
-    val child = li.where(col("l_returnflag") === "N").cache()
-    assert(!check(li, child, CLPConfig(parentFiltered = true)))
-  }
-
-  test("parent-filtered variant still prunes disjoint siblings") {
-    val a = li.where(col("l_returnflag") === "N").cache()
-    val b = li.where(col("l_returnflag") === "R").cache()
-    assert(check(a, b, CLPConfig(parentFiltered = true)))
-  }
-
   test("probe budget respects s (probes ≤ s per edge)") {
     val dup = Transformations.duplicate(li)
-    val (_, probes, _) = CLP.checkEdge(Edge("p", "c"), li, dup, sch(li), sch(dup), CLPConfig(s = 3, t = 5))
-    assert(probes <= 3)
+    assert(pruneOne(li, dup, CLPConfig(s = 3, t = 5)).probeCount <= 3)
   }
 
   test("deterministic in seed") {
@@ -120,5 +113,61 @@ class CLPSpec extends SparkSpec {
     val r1 = check(li, noisy, CLPConfig(s = 2, t = 3, seed = 99))
     val r2 = check(li, noisy, CLPConfig(s = 2, t = 3, seed = 99))
     assert(r1 == r2)
+  }
+
+  test("sampledRows counts the distinct child rows drawn when pivots match fewer than t rows") {
+    // Every id is unique, so the single probe's pivot matches exactly one row.
+    val parent = spark.range(10).toDF("id").cache()
+    val child = spark.range(5).toDF("id").cache()
+    val res = pruneOne(parent, child, CLPConfig(s = 4, t = 10))
+    assert(res.probeCount == 1 && res.sampledRows == 1 && res.pruned.isEmpty)
+  }
+
+  test("-0.0, NaN and null in the child match 0.0, NaN and null in the parent") {
+    val schema = StructType(Seq(StructField("id", IntegerType), StructField("v", DoubleType)))
+    def frame(vs: Seq[java.lang.Double]) = spark.createDataFrame(
+      vs.zipWithIndex.map { case (v, i) => Row(i, v) }.asJava, schema).cache()
+    val parent = frame(Seq(0.0, Double.NaN, null))
+    val child = frame(Seq(-0.0, Double.NaN, null))
+    assert(!check(parent, child, CLPConfig(s = 2, t = 10)))
+    // The same with every child row in the sample, not just the drawn ones.
+    val compared = Seq("id", "v")
+    val all = ProbeSample(Probe(Edge("p", "c"), "v", 0L, compared), -0.0, child.collect().toSeq)
+    assert(CLP.refute(Seq(all), Map("p" -> parent), parallelism = 1).isEmpty)
+    assert(check(parent, frame(Seq(0.0, 1.0, null)), CLPConfig(s = 2, t = 10)))
+  }
+
+  test("a common column of another type in the parent is left out of the comparison") {
+    val parent = spark.range(10).select(col("id").cast("string").as("id"), col("id").as("v")).cache()
+    val child = spark.range(5).select(col("id"), col("id").as("v")).cache()
+    val res = pruneOne(parent, child, CLPConfig(s = 2, t = 10))
+    assert(res.probeCount == 2 && res.pruned.isEmpty)
+    assert(check(parent, child.withColumn("v", col("v") + 100), CLPConfig(s = 2, t = 10)))
+  }
+
+  test("batched refutation agrees with the per-edge left-anti reference on the fixtures") {
+    val stats = StatsCatalog.compute(li)
+    val NumStats(lo, hi) = stats.cols("l_extendedprice").asInstanceOf[NumStats]
+    val dfs = Map(
+      "li" -> li,
+      "north" -> li.where(col("l_returnflag") === "N").cache(),
+      "south" -> li.where(col("l_returnflag") === "R").cache(),
+      "proj" -> Transformations.project(li, Seq("l_tax")).cache(),
+      "dup" -> Transformations.duplicate(li),
+      "wide" -> Transformations.addDerivedColumns(li, 1, "w", new Random(1)).cache(),
+      "heavy" -> Transformations.noise(li, "l_extendedprice", lo, hi, rho = 0.5, inRange = true, seed = 2).cache(),
+      "light" -> Transformations.noise(li, "l_extendedprice", lo, hi, rho = 0.1, inRange = true, seed = 8).cache(),
+    )
+    val edges = Seq("north", "south", "proj", "dup", "heavy", "light").map(Edge("li", _)) ++ Seq(
+      Edge("north", "south"), Edge("south", "north"), Edge("dup", "li"), Edge("wide", "li"), Edge("north", "proj"))
+    val g = ContainmentGraph(dfs.keys, edges)
+    for (cfg <- Seq(CLPConfig(), CLPConfig(s = 1, t = 3, seed = 5), CLPConfig(s = 8, t = 50, seed = 4))) {
+      val (samples, _) = CLP.draw(g, dfs, dfs.view.mapValues(sch).toMap, cfg)
+      val batched = CLP.refute(samples, dfs, cfg.parallelism).keySet
+      assert(batched == CLPReference.refuted(samples, dfs), s"cfg=$cfg")
+      assert(batched.contains(Edge("north", "south")), s"cfg=$cfg")
+      if (cfg.s >= 4) assert(batched.contains(Edge("li", "heavy")), s"cfg=$cfg")
+      assert(!batched.exists(e => Set("north", "proj", "dup").contains(e.child) && e.parent == "li"), s"cfg=$cfg")
+    }
   }
 }
